@@ -174,8 +174,6 @@ TEST(ParseBackend, RoundTripsEveryBackend) {
 TEST(ParseBackend, CoversNewEnumValues) {
   EXPECT_EQ(gee::util::parse_backend("partitioned"),
             gee::core::Backend::kPartitioned);
-  EXPECT_EQ(gee::util::parse_backend("replicated"),
-            gee::core::Backend::kReplicated);
   EXPECT_FALSE(gee::util::parse_backend("no-such-backend").has_value());
 }
 
