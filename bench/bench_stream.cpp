@@ -1,18 +1,18 @@
-// Streaming bench -- updates/sec of DynamicGee's update strategies versus
-// the full-rebuild baseline, across batch sizes and traffic shape.
+// Streaming bench -- updates/sec of DynamicGee's update paths versus the
+// full-rebuild baseline, across batch sizes and traffic shape.
 //
 // The question this answers: at what batch size -- and under what update
-// TRAFFIC -- does each strategy win?
-//  * serial incremental -- two plain adds per coalesced pair; no setup
-//    cost at all. On add-only traffic this is a floor no recompute-based
-//    strategy can beat: a delta applies only the change, while re-embedding
-//    a row replays its entire incident history.
-//  * partitioned delta -- O(b log b) bucketing through build_delta_plan,
-//    then owned-row plain adds across threads. Setup must amortize.
-//  * k-hop re-embed -- seed the changed endpoints and recompute exactly
-//    those rows (DESIGN.md section 10); at --hops >= 1, first expand the
-//    seeds through edge_map over a cached CSR snapshot, paying O(n) per
-//    apply in frontier flags. Either depth is EXACT under removals: the
+// TRAFFIC -- does each path win? The engine columns (--strategies names):
+//  * serial -- kDelta with a threshold above every batch: two plain adds
+//    per coalesced pair; no setup cost at all. On add-only traffic this is
+//    a floor no recompute-based strategy can beat: a delta applies only
+//    the change, while re-embedding a row replays its entire incident
+//    history.
+//  * delta -- kDelta with threshold 0: O(b log b) bucketing through
+//    build_delta_plan, then owned-row plain adds across threads. Setup
+//    must amortize. Reported as "partitioned".
+//  * khop -- kKHop: recompute exactly the changed endpoints' rows from the
+//    live adjacency (DESIGN.md section 10). EXACT under removals: the
 //    delta paths accumulate cancellation drift and must amortize an
 //    O(nK + m) full rebuild every `stream_rebuild_drift` fraction of
 //    removed mass, a cost independent of how few edges are live. k-hop
@@ -24,7 +24,7 @@
 //
 // Traffic modes:
 //  * "spread": uniform add-only endpoints over a dense base (the classic
-//    delta regime; serial wins, khop's O(n) flag cost shows).
+//    delta regime; serial wins, khop pays a full row replay per endpoint).
 //  * "churn": batches confined to a small vertex window (~0.1% of n) where
 //    half of each batch removes the previous batch's additions -- a hot
 //    subgraph being rewritten in place. The base graph is sparse (m/16),
@@ -39,6 +39,7 @@
 #include "bench/common.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <utility>
@@ -138,7 +139,6 @@ void log_stats(const std::string& tag, const DynamicGee::Stats& s) {
       " rebuilds=" + std::to_string(s.rebuilds) +
       " khop_batches=" + std::to_string(s.khop_batches) +
       " khop_rows=" + std::to_string(s.khop_rows) +
-      " frontier_rebuilds=" + std::to_string(s.frontier_rebuilds) +
       " buffer_copies=" + std::to_string(s.buffer_copies) +
       " buffer_promotions=" + std::to_string(s.buffer_promotions));
 }
@@ -155,35 +155,24 @@ int main(int argc, char** argv) {
                   "1,100,10000,1000000");
   args.add_option("edge-factor", "base-graph edges per vertex", "8");
   args.add_option("strategies",
-                  "comma-separated engine columns to run (" +
-                      gee::util::update_strategy_choices() + "; auto = the "
-                      "per-batch heuristic)",
+                  "comma-separated engine columns to run (serial = kDelta's "
+                  "serial loop, delta = kDelta's partitioned path, khop = "
+                  "kKHop)",
                   "serial,delta,khop");
   args.add_option("window",
                   "churn-traffic vertex window (0 = n/1000, min 16)", "0");
-  args.add_option("hops",
-                  "k-hop halo depth for the khop column (0 = endpoints "
-                  "only, the exact minimal set for this model; >=1 prices "
-                  "the Ligra halo expansion)",
-                  "0");
   args.add_flag("stats", "log per-column DynamicGee counters after each row");
   if (!args.parse(argc, argv)) return 1;
   const bool want_stats = args.get_flag("stats");
 
-  std::vector<UpdateStrategy> strategies;
-  for (const auto& name : gee::util::split_csv(args.get("strategies"))) {
-    const auto s = gee::util::parse_update_strategy(name);
-    if (!s) {
-      gee::util::log_error("unknown strategy '" + name + "' (choices: " +
-                           gee::util::update_strategy_choices() + ")");
+  const auto columns = gee::util::split_csv(args.get("strategies"));
+  for (const auto& name : columns) {
+    if (name != "serial" && name != "delta" && name != "khop") {
+      gee::util::log_error("unknown strategy '" + name +
+                           "' (choices: serial, delta, khop)");
       return 1;
     }
-    strategies.push_back(*s);
   }
-  const auto runs = [&](UpdateStrategy s) {
-    return std::find(strategies.begin(), strategies.end(), s) !=
-           strategies.end();
-  };
 
   const auto d = bench::scale_denominator();
   const auto n = static_cast<VertexId>(4e6 / static_cast<double>(d));
@@ -208,7 +197,6 @@ int main(int argc, char** argv) {
   report.context("n", static_cast<std::int64_t>(n));
   report.context("m", static_cast<std::int64_t>(m));
   report.context("window", static_cast<std::int64_t>(window));
-  report.context("hops", args.get_int("hops"));
   report.context("repeats", bench::repeats());
 
   gee::util::TextTable table(
@@ -260,31 +248,34 @@ int main(int argc, char** argv) {
       }
       const double rebuild = static_cast<double>(batch_size) / rebuild_seconds;
 
-      auto rate = [&](UpdateStrategy strategy) {
+      // Updates/sec of one engine column; 0 when --strategies skips it.
+      auto rate = [&](const std::string& column) {
+        if (std::find(columns.begin(), columns.end(), column) ==
+            columns.end()) {
+          return 0.0;
+        }
         gee::core::Options options;
-        options.stream_update_strategy = strategy;
-        options.stream_khop_hops = static_cast<int>(args.get_int("hops"));
-        if (strategy == UpdateStrategy::kDelta) {
-          options.stream_parallel_threshold = 0;  // always partitioned
+        if (column == "khop") {
+          options.stream_update_strategy = UpdateStrategy::kKHop;
+        } else {
+          // kDelta pinned to one sub-path: the serial loop never reaches
+          // the threshold, the partitioned path always does.
+          options.stream_parallel_threshold =
+              column == "serial" ? INT64_MAX : 0;
         }
         DynamicGee::Stats stats;
         const double r = stream_rate(mode_base, labels, batches, options,
                                      want_stats ? &stats : nullptr);
         if (want_stats) {
           log_stats("b" + std::to_string(batch_size) +
-                        (churn ? "/churn/" : "/spread/") +
-                        std::string(gee::core::to_string(strategy)),
+                        (churn ? "/churn/" : "/spread/") + column,
                     stats);
         }
         return r;
       };
-      const double serial = runs(UpdateStrategy::kSerial)
-                                ? rate(UpdateStrategy::kSerial)
-                                : 0.0;
-      const double partitioned =
-          runs(UpdateStrategy::kDelta) ? rate(UpdateStrategy::kDelta) : 0.0;
-      const double khop =
-          runs(UpdateStrategy::kKHop) ? rate(UpdateStrategy::kKHop) : 0.0;
+      const double serial = rate("serial");
+      const double partitioned = rate("delta");
+      const double khop = rate("khop");
 
       const char* mode = churn ? "churn" : "spread";
       const double best = std::max({serial, partitioned, khop, rebuild});

@@ -6,7 +6,7 @@
 //   Twitch          12.18 / 0.20 / 0.11 / 0.013   (936x, 15x, 8.5x)
 //   Friendster      3374  / 112  / 77   / 6.42    (525x, 17x, 12x)
 // Expect the same ordering and comparable ratios, not absolute equality:
-// the interpreted stand-in is leaner than CPython (see EXPERIMENTS.md).
+// the interpreted stand-in is leaner than CPython (see DESIGN.md section 3).
 #include "bench/common.hpp"
 
 #include "graph/validation.hpp"

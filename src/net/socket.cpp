@@ -6,10 +6,14 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
 #include <system_error>
+#include <thread>
+
+#include "obs/metrics.hpp"
 
 namespace gee::net {
 
@@ -77,8 +81,13 @@ Fd accept_unix(const Fd& listener) {
     const int fd = ::accept(listener.get(), nullptr, nullptr);
     if (fd >= 0) return Fd(fd);
     if (errno == EINTR || errno == ECONNABORTED) continue;
-    // EINVAL: listener shut down (the stop path); EBADF: closed.
-    return Fd{};
+    // EINVAL: listener shut down (the stop path); EBADF/ENOTSOCK: closed.
+    if (errno == EINVAL || errno == EBADF || errno == ENOTSOCK) return Fd{};
+    // Anything else (EMFILE, ENFILE, ENOBUFS, ENOMEM, ...) is a resource
+    // shortage that outlives an immediate retry: the pending connection
+    // stays queued, so back off and accept it once fds or memory free up.
+    obs::counter("gee.net.accept_errors").add();
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
 }
 

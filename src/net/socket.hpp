@@ -62,7 +62,10 @@ class Fd {
 [[nodiscard]] Fd connect_unix(const std::string& path);
 
 /// Accept one connection; an invalid Fd means the listener was shut down
-/// or closed (the orderly exit signal for an accept loop).
+/// or closed (the orderly exit signal for an accept loop). Any other
+/// accept failure -- fd exhaustion (EMFILE/ENFILE), ENOBUFS, ENOMEM -- is
+/// counted as gee.net.accept_errors and retried after a 10 ms back-off,
+/// so a full fd table stalls accepting only until fds free up.
 [[nodiscard]] Fd accept_unix(const Fd& listener);
 
 /// Read exactly `n` bytes, retrying partial reads and EINTR. False on

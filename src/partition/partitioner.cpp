@@ -128,7 +128,7 @@ int resolve_num_blocks(int requested) {
 
 std::vector<VertexId> subset_slices(std::span<const graph::EdgeId> row_weights,
                                     int parts) {
-  // Serial prefix: subsets are frontier-sized (the whole point of the
+  // Serial prefix: subsets are a batch's endpoints (the whole point of the
   // k-hop strategy), so a parallel scan would cost more than it saves.
   std::vector<graph::EdgeId> prefix(row_weights.size() + 1);
   prefix[0] = 0;

@@ -64,7 +64,7 @@ template <class T>
 /// INTO THE SUBSET such that each slice carries a near-equal share. The
 /// streaming k-hop re-embed (gee/subset.hpp) hands each slice to one
 /// worker, reusing the engine's weighted-quantile ownership discipline on
-/// a frontier instead of the whole graph: rows stay exclusively owned, so
+/// a row subset instead of the whole graph: rows stay exclusively owned, so
 /// the parallel recompute needs no atomics.
 [[nodiscard]] std::vector<graph::VertexId> subset_slices(
     std::span<const graph::EdgeId> row_weights, int parts);

@@ -3,7 +3,7 @@
 // Supports `--name value`, `--name=value`, and boolean `--flag`. Unknown
 // arguments are an error (with help text) so typos never silently run a
 // default experiment. No positional arguments -- every input is named,
-// which keeps invocations self-documenting in EXPERIMENTS.md.
+// which keeps invocations self-documenting (DESIGN.md section 4).
 #pragma once
 
 #include <cstdint>

@@ -17,7 +17,6 @@
 #include "ligra/algorithms/connected_components.hpp"
 #include "ligra/algorithms/pagerank.hpp"
 #include "ligra/edge_map.hpp"
-#include "ligra/khop.hpp"
 #include "ligra/vertex_subset.hpp"
 #include "parallel/atomics.hpp"
 #include "util/rng.hpp"
@@ -321,135 +320,6 @@ TEST(EdgeMap, OutputDeduplicatesMultiplePredecessors) {
     ASSERT_EQ(members.size(), 1u);
     EXPECT_EQ(members[0], 10u);
     EXPECT_DOUBLE_EQ(acc[10], 10.0);  // all updates ran; output still deduped
-  }
-}
-
-// -------------------------------------------------------------------- k-hop
-
-/// Serial BFS distances over out-neighbors (unreached = -1).
-std::vector<int> bfs_distances(const Graph& g, const std::vector<VertexId>& seeds) {
-  std::vector<int> dist(g.num_vertices(), -1);
-  std::deque<VertexId> queue;
-  for (VertexId s : seeds) {
-    if (dist[s] != 0) {
-      dist[s] = 0;
-      queue.push_back(s);
-    }
-  }
-  while (!queue.empty()) {
-    const VertexId u = queue.front();
-    queue.pop_front();
-    for (VertexId v : g.out().neighbors(u)) {
-      if (dist[v] >= 0) continue;
-      dist[v] = dist[u] + 1;
-      queue.push_back(v);
-    }
-  }
-  return dist;
-}
-
-TEST(KHop, ClosureMatchesBfsDistanceOracle) {
-  const auto el = random_edges(400, 1600, 51);
-  const Graph g = Graph::build(el, GraphKind::kUndirected);
-  const std::vector<VertexId> seeds = {3, 97, 250};
-  const auto dist = bfs_distances(g, seeds);
-  for (int k = 0; k <= 3; ++k) {
-    const auto r = expand_k_hops(
-        g, VertexSubset::from_sparse(400, seeds), {.hops = k});
-    EXPECT_FALSE(r.truncated);
-    for (VertexId v = 0; v < 400; ++v) {
-      const bool expect_in = dist[v] >= 0 && dist[v] <= k;
-      ASSERT_EQ(r.closure.contains(v), expect_in)
-          << "hops " << k << " vertex " << v;
-    }
-  }
-}
-
-TEST(KHop, ClosureIsSortedAndDeduplicated) {
-  // Overlapping seed neighborhoods: many paths reach the same vertices.
-  EdgeList el(6);
-  el.add(0, 2);
-  el.add(1, 2);
-  el.add(2, 3);
-  el.add(0, 3);
-  const Graph g = Graph::build(el, GraphKind::kUndirected);
-  auto r = expand_k_hops(g, VertexSubset::from_sparse(6, {0, 1}), {.hops = 2});
-  r.closure.to_sparse();
-  const auto members = r.closure.sparse_members();
-  ASSERT_TRUE(std::is_sorted(members.begin(), members.end()));
-  ASSERT_EQ(std::adjacent_find(members.begin(), members.end()), members.end());
-  const std::vector<VertexId> expected = {0, 1, 2, 3};
-  EXPECT_EQ(std::vector<VertexId>(members.begin(), members.end()), expected);
-}
-
-TEST(KHop, ZeroHopsReturnsSeedsUnchanged) {
-  const auto el = random_edges(50, 400, 52);
-  const Graph g = Graph::build(el, GraphKind::kUndirected);
-  const auto r =
-      expand_k_hops(g, VertexSubset::from_sparse(50, {7, 21}), {.hops = 0});
-  EXPECT_EQ(r.closure.size(), 2u);
-  EXPECT_TRUE(r.closure.contains(7));
-  EXPECT_TRUE(r.closure.contains(21));
-  EXPECT_EQ(r.hops_expanded, 0);
-  EXPECT_EQ(r.edges_traversed, 0u);
-}
-
-TEST(KHop, EmptySeedsYieldEmptyClosure) {
-  const auto el = random_edges(50, 400, 53);
-  const Graph g = Graph::build(el, GraphKind::kUndirected);
-  const auto r = expand_k_hops(g, VertexSubset::empty(50), {.hops = 3});
-  EXPECT_TRUE(r.closure.is_empty());
-  EXPECT_EQ(r.hops_expanded, 0);
-  EXPECT_FALSE(r.truncated);
-}
-
-TEST(KHop, ExpansionStopsWhenFrontierDies) {
-  // Path 0-1-2 in a 10-vertex graph: hop 3+ finds nothing new, so the
-  // expansion reports fewer hops than requested.
-  EdgeList el(10);
-  el.add(0, 1);
-  el.add(1, 2);
-  const Graph g = Graph::build(el, GraphKind::kUndirected);
-  const auto r =
-      expand_k_hops(g, VertexSubset::single(10, 0), {.hops = 8});
-  EXPECT_EQ(r.closure.size(), 3u);
-  EXPECT_LE(r.hops_expanded, 3);
-  EXPECT_FALSE(r.truncated);
-}
-
-TEST(KHop, MemberCapTruncatesExpansion) {
-  // Star: hub 0 with 99 leaves. One hop from the hub exceeds a cap of 10.
-  EdgeList el(100);
-  for (VertexId v = 1; v < 100; ++v) el.add(0, v);
-  const Graph g = Graph::build(el, GraphKind::kUndirected);
-  const auto r = expand_k_hops(g, VertexSubset::single(100, 0),
-                               {.hops = 1, .max_members = 10});
-  EXPECT_TRUE(r.truncated);
-  // Uncapped, the same expansion covers the whole star.
-  const auto full = expand_k_hops(g, VertexSubset::single(100, 0), {.hops = 1});
-  EXPECT_FALSE(full.truncated);
-  EXPECT_EQ(full.closure.size(), 100u);
-  EXPECT_EQ(full.edges_traversed, 99u);
-}
-
-TEST(KHop, ForcedModesAgreeWithAuto) {
-  const auto el = random_edges(300, 3000, 54);
-  const Graph g = Graph::build(el, GraphKind::kUndirected);
-  const std::vector<VertexId> seeds = {11, 42, 199};
-  const auto base = expand_k_hops(
-      g, VertexSubset::from_sparse(300, seeds), {.hops = 2});
-  for (auto mode :
-       {EdgeMapMode::kSparse, EdgeMapMode::kDense, EdgeMapMode::kDenseForward}) {
-    KHopOptions opts;
-    opts.hops = 2;
-    opts.edge_map.mode = mode;
-    auto r = expand_k_hops(g, VertexSubset::from_sparse(300, seeds), opts);
-    EXPECT_EQ(r.closure.size(), base.closure.size())
-        << "mode " << static_cast<int>(mode);
-    r.closure.to_sparse();
-    for (VertexId v : r.closure.sparse_members()) {
-      ASSERT_TRUE(base.closure.contains(v)) << "mode " << static_cast<int>(mode);
-    }
   }
 }
 

@@ -15,6 +15,9 @@
 //    half-frames, and byte-dribbled requests never take the server down
 //    -- the connection in question is answered/closed per the protocol
 //    and a fresh connection still gets served.
+//  * Resource exhaustion: an accept that fails for want of a free fd
+//    (EMFILE) backs off and retries, so the server accepts again once fds
+//    free up instead of silently ending its accept loop.
 //  * Graceful reload: Server::reload swaps the tier behind a LIVE
 //    connection; the same client keeps getting answers, post-reload
 //    bitwise equal to a fresh engine over the new graph.
@@ -24,10 +27,18 @@
 //    answered or shed, never errored.
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <sys/resource.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cerrno>
+#include <chrono>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <exception>
 #include <string>
 #include <thread>
 #include <vector>
@@ -38,6 +49,7 @@
 #include "net/server.hpp"
 #include "net/socket.hpp"
 #include "net/wire.hpp"
+#include "obs/metrics.hpp"
 #include "serve/query_engine.hpp"
 #include "serve/request.hpp"
 #include "stream/dynamic_gee.hpp"
@@ -424,6 +436,55 @@ TEST_F(NetTest, ByteDribbledRequestStillParses) {
   Buffer payload(h.payload_len);
   ASSERT_TRUE(net::read_exactly(raw, payload.data(), payload.size()));
   expect_reply_eq(net::decode_reply(h, payload).reply, reference_.lookup(0));
+}
+
+TEST_F(NetTest, AcceptSurvivesFdExhaustion) {
+  // Lowering RLIMIT_NOFILE and filling the fd table are process-wide, so
+  // the scenario runs in a child process: "threadsafe" death tests
+  // re-execute this binary for the one test, which is safe with threads.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(
+      {
+        const auto fail = [](const char* why) {
+          std::fprintf(stderr, "%s\n", why);
+          std::_Exit(1);
+        };
+        const auto server = start_server();
+        rlimit limit{};
+        if (::getrlimit(RLIMIT_NOFILE, &limit) != 0) fail("getrlimit");
+        limit.rlim_cur = std::min<rlim_t>(limit.rlim_cur, 256);
+        if (::setrlimit(RLIMIT_NOFILE, &limit) != 0) fail("setrlimit");
+        std::vector<int> fillers;
+        for (int fd; (fd = ::open("/dev/null", O_RDONLY)) >= 0;) {
+          fillers.push_back(fd);
+        }
+        if (errno != EMFILE || fillers.empty()) fail("fd table not filled");
+
+        // One free slot for this client's socket; the server's accept of
+        // the queued connection then finds none and fails with EMFILE.
+        obs::Counter& accept_errors = obs::counter("gee.net.accept_errors");
+        const auto errors_before = accept_errors.value();
+        ::close(fillers.back());
+        fillers.pop_back();
+        const net::Fd queued = net::connect_unix(path_);
+        for (int i = 0; i < 2000 && accept_errors.value() == errors_before;
+             ++i) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+        for (const int fd : fillers) ::close(fd);
+
+        // With fds free again, a fresh client is served within the
+        // deadline.
+        try {
+          Client client(path_, /*recv_timeout_s=*/5.0);
+          if (!client.lookup(0).ok()) fail("lookup not answered");
+        } catch (const std::exception& e) {
+          fail(e.what());
+        }
+        if (accept_errors.value() == errors_before) fail("no EMFILE seen");
+        std::_Exit(0);
+      },
+      ::testing::ExitedWithCode(0), "");
 }
 
 TEST_F(NetTest, ReloadSwapsTheGraphBehindALiveConnection) {

@@ -441,17 +441,14 @@ TEST(DynamicGeeKHop, ReplayMatchesOneShotAcrossGraphMatrix) {
         core::embed_edges(c.edges, c.labels, {.backend =
                                               Backend::kCompiledSerial});
     for (const int num_batches : {1, 7, 64}) {
-      for (const int hops : {0, 1, 2}) {
-        Options options;
-        options.stream_update_strategy = core::UpdateStrategy::kKHop;
-        options.stream_khop_hops = hops;
-        const auto dg = replay(c.edges, c.labels, num_batches, options);
-        EXPECT_LT(core::max_abs_diff(*dg->snapshot().z, reference.z), 1e-5)
-            << c.name << " B=" << num_batches << " hops=" << hops;
-        EXPECT_EQ(dg->stats().khop_batches, dg->stats().batches)
-            << c.name << " B=" << num_batches << " hops=" << hops;
-        EXPECT_GT(dg->stats().khop_rows, 0u);
-      }
+      Options options;
+      options.stream_update_strategy = core::UpdateStrategy::kKHop;
+      const auto dg = replay(c.edges, c.labels, num_batches, options);
+      EXPECT_LT(core::max_abs_diff(*dg->snapshot().z, reference.z), 1e-5)
+          << c.name << " B=" << num_batches;
+      EXPECT_EQ(dg->stats().khop_batches, dg->stats().batches)
+          << c.name << " B=" << num_batches;
+      EXPECT_GT(dg->stats().khop_rows, 0u);
     }
   }
 }
@@ -460,63 +457,56 @@ TEST(DynamicGeeKHop, FinalStateMatchesRebuildBitwise) {
   // Pure k-hop operation is rebuild-exact: every row is recomputed from
   // the exact adjacency at the last batch that touched it, so after any
   // replay (adds AND removals) the published Z must equal a from-scratch
-  // rebuild of the final multiset bit for bit. refresh_fraction 0 pins the
-  // frontier CSR to the current graph every apply, exercising the rebuild
-  // path on each batch.
+  // rebuild of the final multiset bit for bit.
   const auto el =
       with_random_weights(gen::erdos_renyi_gnm(180, 2200, 101), 103);
   const auto labels = gen::semi_supervised_labels(180, 5, 0.4, 107);
-  for (const double refresh_fraction : {0.0, 0.10}) {
-    Options options;
-    options.stream_update_strategy = core::UpdateStrategy::kKHop;
-    options.stream_khop_refresh_fraction = refresh_fraction;
-    auto dg = std::make_unique<DynamicGee>(labels, options);
-    // Stream in, then remove every fourth edge.
-    const EdgeId m = el.num_edges();
-    for (int b = 0; b < 12; ++b) {
-      const EdgeId lo = m * static_cast<EdgeId>(b) / 12;
-      const EdgeId hi = m * static_cast<EdgeId>(b + 1) / 12;
-      UpdateBatch batch;
-      for (EdgeId e = lo; e < hi; ++e) {
-        batch.add(el.src(e), el.dst(e), el.weight(e));
-      }
-      dg->apply(batch);
+  Options options;
+  options.stream_update_strategy = core::UpdateStrategy::kKHop;
+  auto dg = std::make_unique<DynamicGee>(labels, options);
+  // Stream in, then remove every fourth edge.
+  const EdgeId m = el.num_edges();
+  for (int b = 0; b < 12; ++b) {
+    const EdgeId lo = m * static_cast<EdgeId>(b) / 12;
+    const EdgeId hi = m * static_cast<EdgeId>(b + 1) / 12;
+    UpdateBatch batch;
+    for (EdgeId e = lo; e < hi; ++e) {
+      batch.add(el.src(e), el.dst(e), el.weight(e));
     }
-    UpdateBatch removals;
-    for (EdgeId e = 0; e < m; e += 4) {
-      removals.remove(el.src(e), el.dst(e), el.weight(e));
-    }
-    dg->apply(removals);
-
-    // Twin engine, same history, then an explicit rebuild: the gold state.
-    Options delta_options;
-    auto gold = std::make_unique<DynamicGee>(labels, delta_options);
-    for (int b = 0; b < 12; ++b) {
-      const EdgeId lo = m * static_cast<EdgeId>(b) / 12;
-      const EdgeId hi = m * static_cast<EdgeId>(b + 1) / 12;
-      UpdateBatch batch;
-      for (EdgeId e = lo; e < hi; ++e) {
-        batch.add(el.src(e), el.dst(e), el.weight(e));
-      }
-      gold->apply(batch);
-    }
-    gold->apply(removals);
-    gold->rebuild();
-
-    EXPECT_EQ(core::max_abs_diff(*dg->snapshot().z, *gold->snapshot().z), 0.0)
-        << "refresh_fraction=" << refresh_fraction;
-    // The k-hop engine never rebuilt and never accumulated drift.
-    EXPECT_EQ(dg->stats().rebuilds, 0u);
-    EXPECT_EQ(dg->stats().removed_since_rebuild, 0u);
+    dg->apply(batch);
   }
+  UpdateBatch removals;
+  for (EdgeId e = 0; e < m; e += 4) {
+    removals.remove(el.src(e), el.dst(e), el.weight(e));
+  }
+  dg->apply(removals);
+
+  // Twin engine, same history, then an explicit rebuild: the gold state.
+  Options delta_options;
+  auto gold = std::make_unique<DynamicGee>(labels, delta_options);
+  for (int b = 0; b < 12; ++b) {
+    const EdgeId lo = m * static_cast<EdgeId>(b) / 12;
+    const EdgeId hi = m * static_cast<EdgeId>(b + 1) / 12;
+    UpdateBatch batch;
+    for (EdgeId e = lo; e < hi; ++e) {
+      batch.add(el.src(e), el.dst(e), el.weight(e));
+    }
+    gold->apply(batch);
+  }
+  gold->apply(removals);
+  gold->rebuild();
+
+  EXPECT_EQ(core::max_abs_diff(*dg->snapshot().z, *gold->snapshot().z), 0.0);
+  // The k-hop engine never rebuilt and never accumulated drift.
+  EXPECT_EQ(dg->stats().rebuilds, 0u);
+  EXPECT_EQ(dg->stats().removed_since_rebuild, 0u);
 }
 
 TEST(DynamicGeeKHop, AutoSelectsByFrontierLocality) {
-  const VertexId n = 400;
+  const VertexId n = 2000;  // kAuto's cap: 1% of n = 20 endpoints
   const auto labels = gen::semi_supervised_labels(n, 4, 0.5, 109);
   Options options;
   options.stream_update_strategy = core::UpdateStrategy::kAuto;
-  options.stream_khop_auto_ratio = 0.05;  // cap = 20 vertices
   DynamicGee dg(labels, options);
 
   // Broad batch: edges spread over 200 distinct vertices, far past the
@@ -528,7 +518,7 @@ TEST(DynamicGeeKHop, AutoSelectsByFrontierLocality) {
   EXPECT_EQ(report.khop_rows, 0u);
 
   // Localized batch: a 5-vertex clique disjoint from everything above --
-  // the closure is those 5 vertices, comfortably under the cap.
+  // its endpoints are those 5 vertices, comfortably under the cap.
   UpdateBatch local;
   for (VertexId u = 0; u < 5; ++u) {
     for (VertexId v = u + 1; v < 5; ++v) local.add(u, v);
@@ -559,11 +549,10 @@ TEST(DynamicGeeKHop, ReportStrategyReflectsRequestedPath) {
   batch.add(0, 1);
 
   Options serial;
-  serial.stream_update_strategy = core::UpdateStrategy::kSerial;
-  serial.stream_parallel_threshold = 0;  // would go parallel if allowed
+  serial.stream_parallel_threshold = INT64_MAX;  // no batch reaches it
   DynamicGee a(labels, serial);
   auto report = a.apply(batch);
-  EXPECT_EQ(report.strategy, core::UpdateStrategy::kSerial);
+  EXPECT_EQ(report.strategy, core::UpdateStrategy::kDelta);
   EXPECT_FALSE(report.parallel);
 
   Options delta;
@@ -586,9 +575,6 @@ TEST(DynamicGeeKHop, PooledBuffersPromoteByRowPatch) {
   const auto labels = gen::semi_supervised_labels(80, 3, 0.5, 127);
   Options options;
   options.stream_update_strategy = core::UpdateStrategy::kKHop;
-  // Endpoint-only recomputes keep each epoch's row patch under the n/4
-  // replayability bound (a 1-hop closure in this ER graph would not be).
-  options.stream_khop_hops = 0;
   DynamicGee dg(labels, options);
   UpdateBatch seed;
   for (EdgeId e = 0; e < el.num_edges(); ++e) {
@@ -630,13 +616,12 @@ TEST(DynamicGeeKHop, PooledBuffersPromoteByRowPatch) {
 }
 
 TEST(DynamicGeeKHop, OversizedSubsetFallsBackToFullCopy) {
-  // 6-vertex clique with hops 2: every apply's closure is the whole graph,
-  // past the n/4 patch bound, so log entries are not replayable and a
-  // recycled buffer must take the full-copy path -- correctly.
+  // 6-vertex graph: even one edge's two endpoint rows exceed the n/4
+  // patch bound, so log entries are not replayable and a recycled buffer
+  // must take the full-copy path -- correctly.
   const std::vector<std::int32_t> labels{0, 1, 0, 1, 0, 1};
   Options options;
   options.stream_update_strategy = core::UpdateStrategy::kKHop;
-  options.stream_khop_hops = 2;
   DynamicGee dg(labels, options);
   UpdateBatch clique;
   for (VertexId u = 0; u < 6; ++u) {
@@ -669,15 +654,16 @@ TEST(DynamicGeeKHop, OversizedSubsetFallsBackToFullCopy) {
   EXPECT_LT(core::max_abs_diff(*dg.snapshot().z, reference.z), 1e-10);
 }
 
-// k-hop writer racing reader snapshots: the PR's new concurrency surface
-// (frontier CSR snapshots, subset re-embeds, row-patch promotions are all
-// writer-side; readers must stay undisturbed). Run under TSan in CI.
+// k-hop writer racing reader snapshots (subset re-embeds and row-patch
+// promotions are writer-side; readers must stay undisturbed). Run under
+// TSan in CI.
 TEST(DynamicGeeKHop, ConcurrentReadersWithKHopWriter) {
-  const VertexId n = 64;
+  // kAuto's cap is 1% of n = 8 endpoints: a localized batch (4 endpoints)
+  // takes the k-hop path, a spread one (~16) falls back to delta.
+  const VertexId n = 800;
   const auto labels = gen::semi_supervised_labels(n, 4, 0.5, 131);
   Options options;
   options.stream_update_strategy = core::UpdateStrategy::kAuto;
-  options.stream_khop_auto_ratio = 0.25;  // mixed k-hop / delta traffic
   DynamicGee dg(labels, options);
 
   std::atomic<bool> done{false};
@@ -724,34 +710,12 @@ TEST(DynamicGeeKHop, ConcurrentReadersWithKHopWriter) {
   r2.join();
 
   EXPECT_GT(dg.stats().khop_batches, 0u);
+  EXPECT_GT(dg.stats().serial_batches, 0u);
   const auto reference = core::embed_edges(applied, labels,
                                            {.backend =
                                             Backend::kCompiledSerial});
   EXPECT_LT(core::max_abs_diff(*dg.snapshot().z, reference.z), 1e-9);
   EXPECT_EQ(dg.epoch(), 300u);
-}
-
-TEST(DynamicGeeKHop, FrontierRefreshAmortizesAcrossBatches) {
-  // Seed a substantial graph, then stream many single-edge batches: at the
-  // default 10% refresh fraction the frontier CSR must be rebuilt far
-  // fewer times than there are batches.
-  const auto el = gen::erdos_renyi_gnm(200, 4000, 139);
-  const auto labels = gen::semi_supervised_labels(200, 4, 0.5, 149);
-  Options options;
-  options.stream_update_strategy = core::UpdateStrategy::kKHop;
-  options.stream_khop_hops = 1;  // refresh machinery only engages with a halo
-  DynamicGee dg(el, labels, options);
-
-  util::Xoshiro256 rng(151);
-  for (int b = 0; b < 100; ++b) {
-    UpdateBatch batch;
-    batch.add(static_cast<VertexId>(rng.next_below(200)),
-              static_cast<VertexId>(rng.next_below(200)));
-    dg.apply(batch);
-  }
-  EXPECT_GE(dg.stats().frontier_rebuilds, 1u);
-  EXPECT_LT(dg.stats().frontier_rebuilds, 5u);  // 100 changes vs 10% of 4000
-  EXPECT_EQ(dg.stats().khop_batches, 100u);
 }
 
 TEST(DynamicGee, EmptyAndChurnOnlyBatchesPublishNothing) {

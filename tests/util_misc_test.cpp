@@ -196,16 +196,17 @@ TEST(ParseUpdateStrategy, RoundTripsEveryStrategy) {
 }
 
 TEST(ParseUpdateStrategy, NamesAreStable) {
-  // The names are a CLI contract (EXPERIMENTS.md invocations, CI smoke
+  // The names are a CLI contract (snap_pipeline --strategy, CI smoke
   // runs); renaming one is a breaking change, not a refactor.
-  EXPECT_EQ(gee::util::parse_update_strategy("serial"),
-            gee::core::UpdateStrategy::kSerial);
   EXPECT_EQ(gee::util::parse_update_strategy("delta"),
             gee::core::UpdateStrategy::kDelta);
   EXPECT_EQ(gee::util::parse_update_strategy("khop"),
             gee::core::UpdateStrategy::kKHop);
   EXPECT_EQ(gee::util::parse_update_strategy("auto"),
             gee::core::UpdateStrategy::kAuto);
+  // The serial loop is kDelta with a threshold above every batch, not a
+  // strategy of its own.
+  EXPECT_FALSE(gee::util::parse_update_strategy("serial").has_value());
   EXPECT_FALSE(gee::util::parse_update_strategy("no-such-strategy")
                    .has_value());
 }
