@@ -10,9 +10,10 @@
 namespace gee::core {
 
 Embedding::Embedding(VertexId n, int k)
-    : n_(n), k_(k), data_(static_cast<std::size_t>(n) * static_cast<std::size_t>(k)) {
-  clear();
-}
+    : n_(n),
+      k_(k),
+      data_(gee::par::zeroed_buffer<Real>(static_cast<std::size_t>(n) *
+                                          static_cast<std::size_t>(k))) {}
 
 void Embedding::clear() {
   gee::par::fill_zero(data_.data(), data_.size());

@@ -1,10 +1,13 @@
 // Embedding: the n x K output matrix Z of GEE.
 //
-// Row-major, cache-line aligned, zero-filled in parallel (first-touch --
-// at paper scale Z is gigabytes and a serial memset both costs seconds and
-// pins every page to one NUMA node). Row v is the K-dimensional embedding
-// of vertex v; with semi-supervised labels most mass lands in the columns
-// of classes adjacent to v.
+// Row-major, cache-line aligned, zero-initialised in parallel (first-touch
+// -- at paper scale Z is gigabytes and a serial memset both costs seconds
+// and pins every page to one NUMA node). A Z of 2 MiB or more is its own
+// huge-page-advised mapping (util/buffer.hpp) that the kernel hands out
+// zeroed, so construction writes one word per 4 KiB page to place it
+// rather than filling it (par::zeroed_buffer); clear() fills every entry.
+// Row v is the K-dimensional embedding of vertex v; with semi-supervised
+// labels most mass lands in the columns of classes adjacent to v.
 #pragma once
 
 #include <cstddef>
@@ -22,7 +25,7 @@ class Embedding {
  public:
   Embedding() = default;
 
-  /// Allocate n x k and zero-fill in parallel.
+  /// Allocate n x k, all zero (par::zeroed_buffer).
   Embedding(VertexId n, int k);
 
   [[nodiscard]] VertexId num_vertices() const noexcept { return n_; }
@@ -49,7 +52,7 @@ class Embedding {
   [[nodiscard]] const Real* data() const noexcept { return data_.data(); }
   [[nodiscard]] std::size_t size() const noexcept { return data_.size(); }
 
-  /// Re-zero all entries (parallel).
+  /// Re-zero all entries (parallel full fill).
   void clear();
 
  private:

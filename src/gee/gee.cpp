@@ -70,7 +70,7 @@ struct Prepared {
 
 Prepared prepare(VertexId n, std::span<const std::int32_t> labels,
                  const Options& options) {
-  GEE_TRACE_SPAN("gee.embed.projection");
+  gee::obs::TraceSpan projection_span("gee.embed.projection");
   if (labels.size() < n) {
     throw std::invalid_argument("embed: labels shorter than vertex count");
   }
@@ -81,7 +81,10 @@ Prepared prepare(VertexId n, std::span<const std::int32_t> labels,
     throw std::invalid_argument("embed: no labeled vertices and no K given");
   }
   p.timings.projection = timer.restart();
+  projection_span.end();
+  GEE_TRACE_SPAN("gee.embed.z_init");
   p.z = Embedding(n, p.projection.num_classes);
+  p.timings.z_init = timer.seconds();
   return p;
 }
 
@@ -94,6 +97,7 @@ void record_embed_metrics(Backend backend, const Timings& t,
   static auto& calls = obs::counter("gee.embed.calls");
   static auto& arc_count = obs::counter("gee.embed.arcs");
   static auto& projection_s = obs::histogram("gee.embed.projection_seconds");
+  static auto& z_init_s = obs::histogram("gee.embed.z_init_seconds");
   static auto& postprocess_s = obs::histogram("gee.embed.postprocess_seconds");
   static auto& total_s = obs::histogram("gee.embed.total_seconds");
   static const auto edge_pass_s = [] {
@@ -107,6 +111,7 @@ void record_embed_metrics(Backend backend, const Timings& t,
   calls.add();
   arc_count.add(static_cast<std::int64_t>(arcs));
   projection_s.record(t.projection);
+  z_init_s.record(t.z_init);
   postprocess_s.record(t.postprocess);
   total_s.record(t.total);
   edge_pass_s[static_cast<std::size_t>(backend)]->record(t.edge_pass);

@@ -158,12 +158,15 @@ struct Options {
 /// Wall-clock breakdown of an embed() call (seconds).
 struct Timings {
   double projection = 0;   ///< W construction (Algorithm 2 lines 2-6)
+  double z_init = 0;       ///< allocating the all-zero n x K output Z
   double edge_pass = 0;    ///< the O(s) loop / edgeMap (lines 7 / line 7)
   double postprocess = 0;  ///< diag augmentation + row normalization
   double graph_build = 0;  ///< derived-structure construction: the CSR when
                            ///< embed_edges() needs one, the partition plan
                            ///< for kPartitioned (0 on an AuxCache hit)
-  double total = 0;
+  double total = 0;        ///< >= the sum of the parts above; the rest is
+                           ///< Laplacian reweighting, the interpreted
+                           ///< backend's dense W and call overhead
 };
 
 }  // namespace gee::core

@@ -48,8 +48,7 @@ gee::util::UninitBuffer<Real> build_dense_w(
     const Projection& projection, std::span<const std::int32_t> labels) {
   const std::size_t n = labels.size();
   const auto k = static_cast<std::size_t>(projection.num_classes);
-  gee::util::UninitBuffer<Real> w(n * k);
-  gee::par::fill_zero(w.data(), w.size());
+  auto w = gee::par::zeroed_buffer<Real>(n * k);
   gee::par::parallel_for(std::size_t{0}, n, [&](std::size_t v) {
     const std::int32_t y = labels[v];
     if (y >= 0) w[v * k + static_cast<std::size_t>(y)] = projection.vertex_weight[v];

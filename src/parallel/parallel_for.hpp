@@ -13,6 +13,8 @@
 
 #include <omp.h>
 
+#include "util/buffer.hpp"
+
 // ThreadSanitizer interop. OpenMP's fork/join synchronization happens
 // inside the runtime (libgomp), which TSan builds cannot see, so a
 // sanitized binary would report false races between one region's writes
@@ -176,6 +178,28 @@ void fill_zero(T* data, std::size_t n) {
   static_assert(std::is_trivially_copyable_v<T>);
   parallel_for(std::size_t{0}, n, [&](std::size_t i) { data[i] = T{}; },
                /*grain=*/1 << 16);
+}
+
+/// A new n-element buffer that reads all zero, initialised in parallel with
+/// fill_zero's static schedule so each page is first touched by the thread
+/// that owns its index range. A mapped() buffer comes zeroed from the
+/// kernel, so only one element per 4 KiB page is written (which faults the
+/// page in where it will be used) instead of every byte a second time.
+template <class T>
+util::UninitBuffer<T> zeroed_buffer(std::size_t n) {
+  util::UninitBuffer<T> buf(n);
+  if (!buf.mapped()) {
+    fill_zero(buf.data(), n);
+    return buf;
+  }
+  // One element every 4 KiB (every element, when T is larger) writes to
+  // every page, for any page size of 4 KiB or more.
+  constexpr std::size_t kStride = sizeof(T) >= 4096 ? 1 : 4096 / sizeof(T);
+  T* data = buf.data();
+  parallel_for(std::size_t{0}, (n + kStride - 1) / kStride,
+               [&](std::size_t p) { data[p * kStride] = T{}; },
+               /*grain=*/(std::size_t{1} << 16) / kStride);
+  return buf;
 }
 
 /// Parallel fill with a constant value.

@@ -550,10 +550,40 @@ TEST(Gee, TimingsPopulated) {
   const auto el = random_edges(200, 5000, 41);
   const auto y = gee::gen::semi_supervised_labels(200, 5, 0.2, 1);
   const auto result = embed_edges(el, y, {.backend = Backend::kLigraParallel});
-  EXPECT_GT(result.timings.total, 0.0);
-  EXPECT_GT(result.timings.edge_pass, 0.0);
-  EXPECT_GT(result.timings.graph_build, 0.0);  // engine path built a graph
+  const Timings& t = result.timings;
+  EXPECT_GT(t.total, 0.0);
+  EXPECT_GT(t.z_init, 0.0);
+  EXPECT_GT(t.edge_pass, 0.0);
+  EXPECT_GT(t.graph_build, 0.0);  // engine path built a graph
+  EXPECT_LE(t.projection + t.z_init + t.graph_build + t.edge_pass +
+                t.postprocess,
+            t.total);
   EXPECT_EQ(result.backend, Backend::kLigraParallel);
+}
+
+TEST(Gee, LargeEmbeddingReadsZeroNewAndAfterClear) {
+  // 2^16 x 8 doubles = 4 MiB: a kernel-zeroed mapping, which construction
+  // only touches rather than fills.
+  const VertexId n = VertexId{1} << 16;
+  const int k = 8;
+  ASSERT_GE(static_cast<std::size_t>(n) * k * sizeof(Real),
+            gee::util::kHugePageBytes);
+  const auto all_zero = [](const Embedding& z) {
+    for (std::size_t i = 0; i < z.size(); ++i) {
+      if (z.data()[i] != 0) return false;
+    }
+    return true;
+  };
+  for (const int threads : {1, 4}) {
+    ThreadScope scope(threads);
+    Embedding z(n, k);
+    ASSERT_EQ(z.size(), static_cast<std::size_t>(n) * k);
+    EXPECT_TRUE(all_zero(z)) << threads << " threads";
+    for (std::size_t i = 0; i < z.size(); i += 97) z.data()[i] = 1.5;
+    z.data()[z.size() - 1] = -2.0;
+    z.clear();
+    EXPECT_TRUE(all_zero(z)) << threads << " threads";
+  }
 }
 
 TEST(Gee, ResultRowsLiveInClassSimplexScaledSpace) {

@@ -1,6 +1,7 @@
 // Tests for util/table.hpp, util/cli.hpp, util/env.hpp, util/buffer.hpp.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -339,6 +340,68 @@ TEST(UninitBuffer, ResetReallocates) {
   b.reset(0);
   EXPECT_TRUE(b.empty());
   EXPECT_EQ(b.data(), nullptr);
+}
+
+// Buffers of kHugePageBytes or more are their own anonymous mappings.
+constexpr std::size_t kLargeInts = gee::util::kHugePageBytes / sizeof(int) + 3;
+
+bool aligned_to_cache_line(const void* p) {
+  return reinterpret_cast<std::uintptr_t>(p) % gee::util::kCacheLineBytes == 0;
+}
+
+TEST(UninitBuffer, LargeIsAlignedAndWritableEndToEnd) {
+  UninitBuffer<int> b(kLargeInts);
+  ASSERT_TRUE(b.mapped());
+  EXPECT_TRUE(aligned_to_cache_line(b.data()));
+  for (std::size_t i = 0; i < b.size(); ++i) b[i] = static_cast<int>(i);
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    ASSERT_EQ(b[i], static_cast<int>(i)) << i;
+  }
+  EXPECT_FALSE(UninitBuffer<int>(kLargeInts - 4).mapped());
+}
+
+TEST(UninitBuffer, MovesBetweenLargeAndSmall) {
+  UninitBuffer<int> large(kLargeInts);
+  large[kLargeInts - 1] = 7;
+  UninitBuffer<int> small(16);
+  small[15] = 9;
+
+  UninitBuffer<int> moved_large(std::move(large));
+  ASSERT_EQ(moved_large.size(), kLargeInts);
+  EXPECT_TRUE(moved_large.mapped());
+  EXPECT_EQ(moved_large[kLargeInts - 1], 7);
+  EXPECT_TRUE(large.empty());  // NOLINT(bugprone-use-after-move): spec check
+
+  // Small over large: the mapping is released, the small block adopted.
+  moved_large = std::move(small);
+  ASSERT_EQ(moved_large.size(), 16u);
+  EXPECT_FALSE(moved_large.mapped());
+  EXPECT_EQ(moved_large[15], 9);
+
+  // Large over small.
+  UninitBuffer<int> other(kLargeInts);
+  other[0] = 5;
+  moved_large = std::move(other);
+  ASSERT_EQ(moved_large.size(), kLargeInts);
+  EXPECT_EQ(moved_large[0], 5);
+  EXPECT_EQ(other.data(), nullptr);  // NOLINT(bugprone-use-after-move)
+}
+
+TEST(UninitBuffer, ResetLargeSmallLarge) {
+  UninitBuffer<int> b(kLargeInts);
+  b[kLargeInts - 1] = 1;
+  b.reset(32);
+  EXPECT_FALSE(b.mapped());
+  EXPECT_TRUE(aligned_to_cache_line(b.data()));
+  b[31] = 2;
+  EXPECT_EQ(b[31], 2);
+  b.reset(2 * kLargeInts);
+  ASSERT_TRUE(b.mapped());
+  EXPECT_TRUE(aligned_to_cache_line(b.data()));
+  b[0] = 3;
+  b[2 * kLargeInts - 1] = 4;
+  EXPECT_EQ(b[0], 3);
+  EXPECT_EQ(b[2 * kLargeInts - 1], 4);
 }
 
 TEST(UninitBuffer, SpanCoversBuffer) {
